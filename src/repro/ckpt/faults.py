@@ -18,8 +18,9 @@ Fault sites (``site`` strings)
 ``phase_start``
     Before the phase's collision (driver run loop).
 ``mid_phase``
-    After collision, before the halo exchange — the state is mid-update,
-    which is precisely what a checkpoint must never observe.
+    After the boundary planes collide, before this rank posts its f halo
+    — the state is mid-update, which is precisely what a checkpoint must
+    never observe, and no message of this rank is in flight.
 ``shard_written``
     Right after a rank's shard landed on disk, before the manifest
     commit — a crash here must leave the previous generation intact.

@@ -12,14 +12,17 @@ the window logic of :mod:`repro.core.policies`, and migrate raw
 population planes; a 2-D grid rebalances each axis' bands the same way
 from one shared allgather.
 
-By default the halo exchange is *overlapped*: each rank collides its
-one-plane x-boundary strips first, posts the nonblocking f exchange,
-collides the interior while the messages fly, and only then waits — the
-same split applies to the moment update around the density exchange.
-Both schedules are bit-identical (collision and moments are pointwise),
-so ``halo_overlap=False`` changes timing only; fault-injection runs
-force the blocking schedule so the ``mid_phase`` fault point fires with
-no messages in flight.
+Every phase runs one staged schedule over a list of x pieces: collide
+the edge pieces, post the nonblocking f exchange, collide the interior
+while the messages fly, wait, stream and bounce back; then the same
+split for the moment update around the density exchange, and forces.
+By default the halo exchange is *overlapped*: the edge pieces are the
+one-plane x-boundary strips.  With ``halo_overlap=False`` one edge piece
+covers the whole subdomain and the interior is empty, which is the
+blocking exchange.  Both are bit-identical (collision and moments are
+pointwise), so the knob changes timing only.  The ``mid_phase`` fault
+point fires after the edge pieces collide and before this rank posts its
+f halo, so a kill there leaves no message of this rank in flight.
 
 The transport is the in-process :class:`~repro.parallel.threads.LocalCluster`;
 to make remapping *behaviour* testable without real background jobs, a
@@ -69,7 +72,6 @@ from repro.obs.sink import JsonlSink, MemorySink
 from repro.parallel.api import Communicator
 from repro.parallel.decomposition import (
     CartTopology,
-    SlabDecomposition,
     even_split,
     grid_for,
 )
@@ -186,9 +188,6 @@ class ParallelLBM:
         self.rows = topo.rows
         self.cols = topo.cols
         self.row, self.col = topo.coords(comm.rank)
-        self.decomp = SlabDecomposition(
-            [topo.planes(topo.coords(r)[0]) for r in range(comm.size)]
-        )
         #: Checkpointing (see :mod:`repro.ckpt`): a shared store plus the
         #: interval in phases; 0 disables periodic snapshots.
         self.checkpoint_every = checkpoint_every
@@ -196,10 +195,8 @@ class ParallelLBM:
         #: Fault-injection plan (:class:`repro.ckpt.FaultPlan`) shared by
         #: every rank; ``None`` in production.
         self.faults = faults
-        #: Overlapped halo schedule (see the module docstring).  Fault
-        #: injection forces the blocking schedule: the ``mid_phase``
-        #: fault point's contract is that no messages are in flight.
-        self._overlap = bool(halo_overlap) and faults is None
+        #: Overlapped halo schedule (see the module docstring).
+        self._overlap = bool(halo_overlap)
         #: Global indices of this rank's first interior plane/column.
         #: Maintained incrementally through migrations (the topology
         #: snapshot is not updated after init) — chain migration keeps
@@ -360,15 +357,25 @@ class ParallelLBM:
         self._build_pieces(shape)
 
     def _build_pieces(self, shape: tuple[int, ...]) -> None:
-        """The overlapped schedule's x pieces: one-plane boundary strips
-        (collided first, so their data can travel while the interior
-        computes) and the interior block between them.  Each strip gets
-        its own backend instance — kernel scratch is shape-bound — plus
-        stable views of the derived fields; ``f`` itself is re-sliced at
-        every use because streaming rebinds it."""
-        self._edge_pieces: list[tuple] = []
+        """The x pieces the phase schedule runs over.  Overlapped: the
+        one-plane boundary strips (collided first, so their data can
+        travel while the interior computes) and the interior block
+        between them, each with its own backend — kernel scratch is
+        shape-bound.  Blocking: one edge piece covering the whole padded
+        subdomain on the whole-grid backend, and no interior.  Pieces
+        hold stable views of the derived fields; ``f`` itself is
+        re-sliced at every use because streaming rebinds it."""
         self._mid_piece: tuple | None = None
         if not self._overlap:
+            whole = (
+                slice(None),
+                self.backend,
+                self._collide_mask,
+                self.rho,
+                self.u_eq,
+                self.mom,
+            )
+            self._edge_pieces: list[tuple] = [whole]
             return
         ln = shape[0] - 2
         edges = [slice(1, 2)]
@@ -396,31 +403,27 @@ class ParallelLBM:
         )
 
     # -------------------------------------------------------------- physics
-    def _collide(self) -> None:
-        self.backend.collide_bgk(
-            self.f, self.rho, self.u_eq, self._collide_mask
-        )
-
     def _collide_piece(self, piece: tuple) -> None:
         sl, backend, mask, rho, u_eq, _ = piece
         backend.collide_bgk(self.f[:, :, sl], rho, u_eq, mask)
 
     def _moments_piece(self, piece: tuple) -> None:
-        # Moments have no shape-bound scratch, so the full backend serves
-        # every piece; collision cannot (equilibrium scratch is sized to
-        # the grid), hence the per-piece instances.
-        sl, _, _, rho, _, mom = piece
-        self.backend.moments(self.f[:, :, sl], rho, mom)
+        sl, backend, _, rho, _, mom = piece
+        backend.moments(self.f[:, :, sl], rho, mom)
 
-    def _stream_and_bounce(self) -> None:
-        self.f = self.backend.stream(self.f)
-        self.backend.bounce_back(self.f)
-
-    def _moments_and_forces(self, tag: object) -> None:
+    def _moments_and_forces(self, tag: object) -> tuple[float, float]:
         """Moment update + density halo + force/velocity computation (the
-        second half of a phase; also rerun after migration)."""
-        self.backend.moments(self.f, self.rho, self.mom)
-        self.halo.exchange_scalar(self.rho, tag, "halo_rho")
+        second half of a phase; also rerun after init, migration and
+        restore).  Returns the clock readings around the density-halo
+        wait."""
+        for piece in self._edge_pieces:
+            self._moments_piece(piece)
+        pending_rho = self.halo.begin_scalar(self.rho, tag, "halo_rho")
+        if self._mid_piece is not None:
+            self._moments_piece(self._mid_piece)
+        t_wait = time.perf_counter()
+        self.halo.finish_scalar(pending_rho)
+        t_waited = time.perf_counter()
         self.backend.forces_and_velocities(
             self.rho,
             self.mom,
@@ -430,115 +433,39 @@ class ParallelLBM:
             psi_mask=self._psi_mask,
             vel_mask=self._collide_mask,
         )
+        return t_wait, t_waited
 
     def step_phase(self) -> float:
-        """One full phase; returns the load-index sample for this phase."""
-        if self.observer.enabled:
-            t_compute = self._timed_phase()
-        elif self._overlap:
-            t0 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._collide_piece(piece)
-            pending_f = self.halo.begin_f(self.f, self.phase)
-            if self._mid_piece is not None:
-                self._collide_piece(self._mid_piece)
-            t_compute = time.perf_counter() - t0
-            self.halo.finish_f(pending_f)
+        """One full phase; returns the load-index sample for this phase.
 
-            t1 = time.perf_counter()
-            self._stream_and_bounce()
-            for piece in self._edge_pieces:
-                self._moments_piece(piece)
-            pending_rho = self.halo.begin_scalar(
-                self.rho, self.phase, "halo_rho"
-            )
-            if self._mid_piece is not None:
-                self._moments_piece(self._mid_piece)
-            self.halo.finish_scalar(pending_rho)
-            self.backend.forces_and_velocities(
-                self.rho,
-                self.mom,
-                self.force,
-                self.u_eq,
-                accel=self._accel,
-                psi_mask=self._psi_mask,
-                vel_mask=self._collide_mask,
-            )
-            t_compute += time.perf_counter() - t1
-        else:
-            t0 = time.perf_counter()
-            self._collide()
-            t_compute = time.perf_counter() - t0
-
-            if self.faults is not None:
-                # Between collision and the halo exchange: the state is
-                # mid-update and no messages are in flight, so a job kill
-                # here cannot strand a peer in a blocking recv.
-                self.faults.fire(
-                    "mid_phase", rank=self.comm.rank, at=self.phase
-                )
-            self.halo.exchange_f(self.f, self.phase)
-
-            t1 = time.perf_counter()
-            self._stream_and_bounce()
-            self._moments_and_forces(self.phase)
-            t_compute += time.perf_counter() - t1
-
-        self.phase += 1
-        if self.load_time_fn is not None:
-            sample = self.load_time_fn(
-                self.comm.rank, self.phase, self.local_planes * self.plane_points
-            )
-        else:
-            sample = max(t_compute, 1e-9)
-        self.comp_times.append(sample)
-        self.history.record(sample)
-        return sample
-
-    def _timed_phase(self) -> float:
-        """The same phase sequence with per-segment timings and halo byte
-        deltas emitted as one ``phase`` trace event.  Returns the compute
-        time with exactly the untraced composition (halo-f wait excluded,
-        density-halo wait included, matching the load-index semantics).
-
-        Under the overlapped schedule the event additionally carries
-        ``t_halo_wait`` — the exposed communication time, i.e. seconds
-        this phase actually blocked in halo waits after the interior
-        compute was used to hide the transfers."""
+        The clock is read at every stage boundary; with an enabled
+        observer the timings and halo byte deltas go out as one ``phase``
+        event.  The load index is the compute time: the halo-f wait is
+        excluded, the density-halo wait included.  ``t_halo_wait`` is
+        the exposed communication time, the seconds this phase blocked
+        in halo waits."""
         halo = self.halo
         bf0, bs0 = halo.bytes_f, halo.bytes_scalar
-        if self._overlap:
-            wf0 = halo.wait_f_seconds
-            ws0 = halo.wait_scalar_seconds
-            t0 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._collide_piece(piece)
-            pending_f = halo.begin_f(self.f, self.phase)
-            if self._mid_piece is not None:
-                self._collide_piece(self._mid_piece)
-            t1 = time.perf_counter()
-            halo.finish_f(pending_f)
-            t2 = time.perf_counter()
-            self._stream_and_bounce()
-            t3 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._moments_piece(piece)
-            pending_rho = halo.begin_scalar(self.rho, self.phase, "halo_rho")
-            if self._mid_piece is not None:
-                self._moments_piece(self._mid_piece)
-            t4 = time.perf_counter()
-            halo.finish_scalar(pending_rho)
-            t5 = time.perf_counter()
-            self.backend.forces_and_velocities(
-                self.rho,
-                self.mom,
-                self.force,
-                self.u_eq,
-                accel=self._accel,
-                psi_mask=self._psi_mask,
-                vel_mask=self._collide_mask,
-            )
-            t6 = time.perf_counter()
+        wait0 = halo.wait_f_seconds + halo.wait_scalar_seconds
+        t0 = time.perf_counter()
+        for piece in self._edge_pieces:
+            self._collide_piece(piece)
+        if self.faults is not None:
+            # The state is mid-update and this rank has posted no message,
+            # so a job kill here cannot strand a peer in a blocking recv.
+            self.faults.fire("mid_phase", rank=self.comm.rank, at=self.phase)
+        pending_f = halo.begin_f(self.f, self.phase)
+        if self._mid_piece is not None:
+            self._collide_piece(self._mid_piece)
+        t1 = time.perf_counter()
+        halo.finish_f(pending_f)
+        t2 = time.perf_counter()
+        self.f = self.backend.stream(self.f)
+        self.backend.bounce_back(self.f)
+        t3 = time.perf_counter()
+        t4, t5 = self._moments_and_forces(self.phase)
+        t6 = time.perf_counter()
+        if self.observer.enabled:
             self.observer.emit(
                 "phase",
                 phase=self.phase,
@@ -549,50 +476,23 @@ class ParallelLBM:
                 t_moments=(t4 - t3) + (t6 - t5),
                 t_halo_rho=t5 - t4,
                 t_total=t6 - t0,
-                t_halo_wait=(halo.wait_f_seconds - wf0)
-                + (halo.wait_scalar_seconds - ws0),
+                t_halo_wait=halo.wait_f_seconds
+                + halo.wait_scalar_seconds
+                - wait0,
                 halo_f_bytes=halo.bytes_f - bf0,
                 halo_rho_bytes=halo.bytes_scalar - bs0,
             )
-            return (t1 - t0) + (t6 - t2)
-        t0 = time.perf_counter()
-        self._collide()
-        t1 = time.perf_counter()
-        if self.faults is not None:
-            self.faults.fire("mid_phase", rank=self.comm.rank, at=self.phase)
-        halo.exchange_f(self.f, self.phase)
-        t2 = time.perf_counter()
-        self._stream_and_bounce()
-        t3 = time.perf_counter()
-        # _moments_and_forces, split so the density-halo wait is visible.
-        self.backend.moments(self.f, self.rho, self.mom)
-        t4 = time.perf_counter()
-        halo.exchange_scalar(self.rho, self.phase, "halo_rho")
-        t5 = time.perf_counter()
-        self.backend.forces_and_velocities(
-            self.rho,
-            self.mom,
-            self.force,
-            self.u_eq,
-            accel=self._accel,
-            psi_mask=self._psi_mask,
-            vel_mask=self._collide_mask,
-        )
-        t6 = time.perf_counter()
-        self.observer.emit(
-            "phase",
-            phase=self.phase,
-            planes=self.local_planes,
-            t_collide=t1 - t0,
-            t_halo_f=t2 - t1,
-            t_stream_bounce=t3 - t2,
-            t_moments=(t4 - t3) + (t6 - t5),
-            t_halo_rho=t5 - t4,
-            t_total=t6 - t0,
-            halo_f_bytes=halo.bytes_f - bf0,
-            halo_rho_bytes=halo.bytes_scalar - bs0,
-        )
-        return (t1 - t0) + (t6 - t2)
+
+        self.phase += 1
+        if self.load_time_fn is not None:
+            sample = self.load_time_fn(
+                self.comm.rank, self.phase, self.local_planes * self.plane_points
+            )
+        else:
+            sample = max((t1 - t0) + (t6 - t2), 1e-9)
+        self.comp_times.append(sample)
+        self.history.record(sample)
+        return sample
 
     def _interior_view(self) -> np.ndarray:
         """This rank's ghost-free populations (both padded axes stripped
@@ -774,7 +674,7 @@ class ParallelLBM:
                 # Bookkeeping before reallocation: _alloc_state slices the
                 # geometry provider by the *new* plane_start.
                 self.plane_start += out_left
-                self._after_resize(-out_left)
+                self._alloc_state()
                 self.planes_sent += out_left
                 if traced:
                     self._emit_migrate(rnd, "send", "left", package)
@@ -783,7 +683,7 @@ class ParallelLBM:
             package = None
             if out_right > 0:
                 package, self.f = pack_planes(self.f, "right", out_right)
-                self._after_resize(-out_right)
+                self._alloc_state()
                 self.planes_sent += out_right
                 if traced:
                     self._emit_migrate(rnd, "send", "right", package)
@@ -793,7 +693,7 @@ class ParallelLBM:
             if package is not None:
                 self.f = unpack_planes(self.f, package, "left")
                 self.plane_start -= package.shape[2]
-                self._after_resize(package.shape[2])
+                self._alloc_state()
                 self.planes_received += package.shape[2]
                 if traced:
                     self._emit_migrate(rnd, "recv", "left", package)
@@ -801,7 +701,7 @@ class ParallelLBM:
             package = comm.recv(right, ("migrate", rnd, "L"))
             if package is not None:
                 self.f = unpack_planes(self.f, package, "right")
-                self._after_resize(package.shape[2])
+                self._alloc_state()
                 self.planes_received += package.shape[2]
                 if traced:
                     self._emit_migrate(rnd, "recv", "right", package)
@@ -844,14 +744,14 @@ class ParallelLBM:
                 package = comm.recv(rank - 1, ("migrate", rnd, "R"))
                 self.f = unpack_planes(self.f, package, "left")
                 self.plane_start -= package.shape[2]
-                self._after_resize(package.shape[2])
+                self._alloc_state()
                 self.planes_received += package.shape[2]
                 if traced:
                     self._emit_migrate(rnd, "recv", "left", package)
             elif flow < 0:  # sending leftward
                 package, self.f = pack_planes(self.f, "left", -flow)
                 self.plane_start += -flow
-                self._after_resize(flow)
+                self._alloc_state()
                 self.planes_sent += -flow
                 comm.send(rank - 1, ("migrate", rnd, "L"), package)
                 if traced:
@@ -860,7 +760,7 @@ class ParallelLBM:
             flow = int(flows[rank])
             if flow > 0:  # sending rightward
                 package, self.f = pack_planes(self.f, "right", flow)
-                self._after_resize(-flow)
+                self._alloc_state()
                 self.planes_sent += flow
                 comm.send(rank + 1, ("migrate", rnd, "R"), package)
                 if traced:
@@ -868,7 +768,7 @@ class ParallelLBM:
             elif flow < 0:  # receiving from the right
                 package = comm.recv(rank + 1, ("migrate", rnd, "L"))
                 self.f = unpack_planes(self.f, package, "right")
-                self._after_resize(package.shape[2])
+                self._alloc_state()
                 self.planes_received += package.shape[2]
                 if traced:
                     self._emit_migrate(rnd, "recv", "right", package)
@@ -1001,10 +901,6 @@ class ParallelLBM:
         self._alloc_state()
         self._moments_and_forces(("post_remap", rnd))
 
-    def _after_resize(self, delta: int) -> None:
-        self.decomp.adjust(self.comm.rank, delta)
-        self._alloc_state()
-
     # ---------------------------------------------------------- checkpoints
     def check_health(self, max_velocity: float = 0.4) -> None:
         """Raise ``FloatingPointError`` if this rank's interior went
@@ -1103,10 +999,7 @@ class ParallelLBM:
                 dtype=np.float64,
             )
             new_f[:, :, 1:-1] = f_interior
-        delta = ln - self.local_planes
         self.f = new_f
-        if delta:
-            self.decomp.adjust(self.comm.rank, delta)
         self.plane_start = int(plane_start)
         self.col_start = int(col_start)
         self._alloc_state()

@@ -119,7 +119,7 @@ class TestGoldenRun:
         for ev in phases:
             for key in ("t_collide", "t_halo_f", "t_stream_bounce",
                         "t_moments", "t_halo_rho", "t_total",
-                        "halo_f_bytes", "halo_rho_bytes"):
+                        "t_halo_wait", "halo_f_bytes", "halo_rho_bytes"):
                 assert key in ev
             assert ev["halo_f_bytes"] > 0
             assert ev["t_total"] > 0

@@ -21,9 +21,18 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.obs import MemorySink, Observer
 from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
+
+#: Every ``phase`` trace event carries exactly these keys, whichever halo
+#: schedule produced it.
+PHASE_EVENT_KEYS = frozenset({
+    "type", "seq", "ts", "rank", "phase", "planes",
+    "t_collide", "t_halo_f", "t_stream_bounce", "t_moments", "t_halo_rho",
+    "t_total", "t_halo_wait", "halo_f_bytes", "halo_rho_bytes",
+})
 
 
 def config(nx=20, ny=14, backend="reference", lattice=D2Q9, shape=None):
@@ -69,17 +78,24 @@ class TestDifferentialMatrix:
         assert np.array_equal(slab.f, expected)
         assert np.array_equal(grid.f, expected)
 
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
     @pytest.mark.parametrize("halo_overlap", [True, False])
-    def test_overlap_schedule_is_bit_identical(self, halo_overlap):
-        cfg = config()
-        expected = sequential_f(cfg, 20)
+    def test_overlap_schedule_is_bit_identical(self, halo_overlap, backend):
+        cfg = config(backend=backend)
+        expected = sequential_f(config(), 20)
+        observer = Observer(sink=MemorySink())
         result = run(
             RunSpec(
                 config=cfg, phases=20, decomp=(2, 2),
                 halo_overlap=halo_overlap, policy="no-remap",
+                observer=observer,
             )
         )
         assert np.array_equal(result.f, expected)
+        # Both schedules run one phase program: one event schema.
+        phases = [e for e in observer.sink.events if e["type"] == "phase"]
+        assert len(phases) == 20 * 4
+        assert {frozenset(e) for e in phases} == {PHASE_EVENT_KEYS}
 
     def test_3d_domain_under_a_2d_grid(self):
         cfg = config(shape=(10, 8, 6), lattice=D3Q19)
