@@ -8,7 +8,7 @@ the moment/force/velocity update — for one solver instance.  The physics
 :class:`~repro.parallel.driver.ParallelLBM`; backends only decide *how*
 each kernel touches memory.
 
-Four backends ship with the package:
+Three backends ship with the package:
 
 ``reference``
     The original NumPy kernels, unchanged — per-component loops,
@@ -21,12 +21,6 @@ Four backends ship with the package:
     in-place collide+equilibrium, batched BLAS moments, and pair-folded
     Shan-Chen central differences over a preallocated scratch pool
     (see :mod:`repro.lbm.backends.fused`).
-
-``arrayapi``
-    The reference operation order written against the array-API
-    namespace handle (:mod:`repro.lbm.backends.xp`) — bit-identical to
-    ``reference`` under the default NumPy binding, portable to
-    accelerator namespaces (see :mod:`repro.lbm.backends.arrayapi`).
 
 ``batched``
     Stacked-ensemble kernels: N independent simulations as one

@@ -84,8 +84,8 @@ class LBMConfig:
         its target component.  Mutually exclusive with ``wall_force`` —
         the ``homogeneous`` scenario reproduces that path bit-for-bit.
     backend:
-        Kernel-backend name (``"reference"``, ``"fused"``, ``"arrayapi"``
-        or ``"batched"``; see :mod:`repro.lbm.backends`).  ``None``
+        Kernel-backend name (``"reference"``, ``"fused"`` or
+        ``"batched"``; see :mod:`repro.lbm.backends`).  ``None``
         (default) consults the
         ``REPRO_LBM_BACKEND`` environment variable and falls back to
         ``"reference"``; the resolved name is stored, so parallel ranks

@@ -297,8 +297,16 @@ def bench_metrics(doc: dict) -> dict[str, float]:
     return out
 
 
+#: Top-level sections that identify a JSON benchmark document.
+_BENCH_SECTIONS = ("benchmarks", "serve", "sweep", "halo")
+
+
 def load_metrics(path: str | Path) -> dict[str, float]:
-    """Metrics from either a JSONL trace or a JSON benchmark document."""
+    """Metrics from either a JSONL trace or a JSON benchmark document.
+
+    Raises ``ValueError`` naming *path* for a JSON object that is neither
+    a known bench schema nor a trace event (trace events carry ``seq``).
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8").strip()
     if not text:
@@ -307,13 +315,14 @@ def load_metrics(path: str | Path) -> dict[str, float]:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = None  # multi-line JSONL trace
-    if isinstance(doc, dict) and (
-        "benchmarks" in doc
-        or "serve" in doc
-        or "sweep" in doc
-        or "halo" in doc
-    ):
-        return bench_metrics(doc)
+    if isinstance(doc, dict):
+        if any(section in doc for section in _BENCH_SECTIONS):
+            return bench_metrics(doc)
+        if "seq" not in doc:
+            raise ValueError(
+                f"{path}: JSON document matches no known bench schema "
+                f"(expected one of the sections {list(_BENCH_SECTIONS)})"
+            )
     return trace_metrics(read_trace(path))
 
 
@@ -417,7 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "summary":
         print(render_summary(read_trace(args.trace)))
         return 0
-    return run_compare(args.candidate, args.baseline, args.tolerance)
+    try:
+        return run_compare(args.candidate, args.baseline, args.tolerance)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke test

@@ -27,8 +27,15 @@ class _World:
 
     def __init__(self, size: int):
         self.size = size
-        # One queue per (source, dest); messages carry their tag.
-        self.channels: dict[tuple[int, int], queue.Queue] = defaultdict(queue.Queue)
+        # One queue per (source, dest); messages carry their tag.  Built
+        # up front: creating them lazily from rank threads races, and a
+        # queue created twice loses the messages put into the first.
+        self.channels: dict[tuple[int, int], queue.Queue] = {
+            (source, dest): queue.Queue()
+            for source in range(size)
+            for dest in range(size)
+            if source != dest
+        }
         self.barrier = threading.Barrier(size)
 
 

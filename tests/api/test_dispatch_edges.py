@@ -29,16 +29,16 @@ class TestResumeWithBackendOverride:
         store_dir = tmp_path / "ckpt"
         common = dict(
             config=two_component_config,
-            backend="arrayapi",
+            backend="batched",
             checkpoint_dir=store_dir,
             checkpoint_every=2,
         )
         run(RunSpec(phases=4, **common))
         resumed = run(RunSpec(phases=8, resume=True, **common))
-        assert resumed.config.backend == "arrayapi"
+        assert resumed.config.backend == "batched"
 
         fresh = run(
-            RunSpec(config=two_component_config, phases=8, backend="arrayapi")
+            RunSpec(config=two_component_config, phases=8, backend="batched")
         )
         assert np.array_equal(resumed.f, fresh.f)
 

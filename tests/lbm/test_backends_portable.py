@@ -1,85 +1,46 @@
-"""Portable-backend tests: the ``arrayapi`` and ``batched`` backends
+"""``batched`` backend tests: in single-scenario mode (batch=None) it
 must be **bit-identical** (``np.array_equal``, not allclose) to the
-``reference`` backend under the NumPy namespace binding — the contract
-that makes them drop-in replacements — plus namespace-resolution
-behaviour of :mod:`repro.lbm.backends.xp`.
+``reference`` backend — the contract that makes it a drop-in
+replacement — and it must reject configurations its stacked streaming
+plan cannot compute.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import ENV_ARRAY_NS
 from repro.lbm.backends import (
-    ArrayAPIBackend,
     BatchedBackend,
     available_backends,
     get_backend_class,
-    get_namespace,
 )
-from repro.lbm.backends.xp import default_namespace, is_numpy_namespace
-from repro.lbm.lattice import D2Q9, D3Q19
+from repro.lbm.lattice import D2Q9, Lattice
 from repro.lbm.solver import MulticomponentLBM
 
 from .test_backends import DIFF_MATRIX, _pair, two_component_config
 
-PORTABLE = ("arrayapi", "batched")
-
-
-class TestNamespaceResolution:
-    def test_default_binding_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(ENV_ARRAY_NS, raising=False)
-        assert get_namespace() is np
-        assert default_namespace() is np
-        assert is_numpy_namespace(get_namespace())
-
-    @pytest.mark.parametrize("name", ["numpy", "np", " NumPy "])
-    def test_explicit_numpy_spellings(self, name):
-        assert get_namespace(name) is np
-
-    def test_env_var_selects_namespace(self, monkeypatch):
-        monkeypatch.setenv(ENV_ARRAY_NS, "numpy")
-        assert get_namespace() is np
-
-    def test_unknown_namespace_rejected(self):
-        with pytest.raises(ValueError, match="unknown array namespace"):
-            get_namespace("turbogrid")
-
-    def test_uninstalled_namespace_raises_informatively(self):
-        # cupy is never installed in this environment; the error must
-        # name the missing package and the knob, not bubble a bare
-        # ModuleNotFoundError out of importlib.
-        with pytest.raises(ImportError, match="cupy.*not installed"):
-            get_namespace("cupy")
-
 
 class TestRegistry:
     def test_portable_backends_registered(self):
-        names = available_backends()
-        for name in PORTABLE:
-            assert name in names
+        assert "batched" in available_backends()
 
     def test_get_backend_class(self):
-        assert get_backend_class("arrayapi") is ArrayAPIBackend
         assert get_backend_class("batched") is BatchedBackend
 
     def test_solver_builds_portable_backends(self):
-        for name, cls in [
-            ("arrayapi", ArrayAPIBackend),
-            ("batched", BatchedBackend),
-        ]:
-            cfg = two_component_config(D2Q9, backend=name)
-            solver = MulticomponentLBM(cfg)
-            assert type(solver.backend) is cls
+        cfg = two_component_config(D2Q9, backend="batched")
+        solver = MulticomponentLBM(cfg)
+        assert type(solver.backend) is BatchedBackend
 
 
 class TestBitIdentical:
-    """Under the NumPy binding the portable backends are *exactly* the
-    reference computation — not within a tolerance, the same bits.
-    ``batched`` runs here in single-scenario mode (batch=None)."""
+    """``batched`` is *exactly* the reference computation — not within
+    a tolerance, the same bits."""
 
-    @pytest.mark.parametrize("backend", PORTABLE)
+    @pytest.mark.parametrize("backend", ["batched"])
     @pytest.mark.parametrize(
         "lattice,scenario",
         DIFF_MATRIX,
@@ -94,25 +55,13 @@ class TestBitIdentical:
         assert np.array_equal(other.u_eq, ref.u_eq)
         assert np.array_equal(other.force, ref.force)
 
-    @pytest.mark.parametrize("backend", PORTABLE)
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_wall_momentum_bitwise(self, backend):
         ref, other = _pair(D2Q9, "obstacles", backend)
         ref.track_wall_momentum = other.track_wall_momentum = True
         ref.run(10)
         other.run(10)
         assert np.array_equal(other.last_wall_momentum, ref.last_wall_momentum)
-
-    @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
-    def test_portable_pair_agree_with_each_other(self, lattice):
-        # Transitivity check in one run: both portable backends against
-        # the same reference trajectory.
-        ref, aapi = _pair(lattice, "walls", "arrayapi")
-        _, batched = _pair(lattice, "walls", "batched")
-        ref.run(12)
-        aapi.run(12)
-        batched.run(12)
-        assert np.array_equal(aapi.f, ref.f)
-        assert np.array_equal(batched.f, aapi.f)
 
 
 class TestBatchedConstraints:
@@ -121,10 +70,6 @@ class TestBatchedConstraints:
         # violating that must be rejected at construction, not silently
         # miscomputed.  Both builtin lattices satisfy it today, so fake
         # a wide-stencil lattice.
-        import dataclasses
-
-        from repro.lbm.lattice import Lattice
-
         cfg = two_component_config(D2Q9, backend="batched")
         shape = cfg.geometry.shape
         solid = cfg.geometry.solid_mask()

@@ -1,15 +1,16 @@
+"""Sequential-solver checkpoints through :class:`CheckpointStore`:
+bitwise round trip, continued runs, and rejection of a checkpoint
+written under different physics."""
+
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.lbm.checkpoint import (
-    load_checkpoint,
-    roundtrip_equal,
-    save_checkpoint,
-)
+from repro.ckpt import CheckpointStore, IncompatibleCheckpointError
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
-from repro.lbm.lattice import D2Q9
-from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.lbm.solver import MulticomponentLBM
 
 
 @pytest.fixture
@@ -19,76 +20,63 @@ def solver(two_component_config):
     return s
 
 
-class TestRoundTrip:
-    def test_state_restored_bitwise(self, solver, tmp_path, two_component_config):
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(solver, path)
-        fresh = MulticomponentLBM(two_component_config)
-        load_checkpoint(fresh, path)
-        assert roundtrip_equal(solver, fresh)
+@pytest.fixture
+def store(tmp_path, solver):
+    store = CheckpointStore(tmp_path / "ckpt")
+    store.save_solver(solver)
+    return store
 
-    def test_continued_run_identical(self, solver, tmp_path, two_component_config):
+
+def _restored(store, config):
+    fresh = MulticomponentLBM(config)
+    assert store.restore_solver(fresh) is not None
+    return fresh
+
+
+class TestRoundTrip:
+    def test_state_restored_bitwise(self, solver, store, two_component_config):
+        fresh = _restored(store, two_component_config)
+        assert np.array_equal(fresh.f, solver.f)
+        assert np.array_equal(fresh.rho, solver.rho)
+        assert np.array_equal(fresh.u_eq, solver.u_eq)
+        assert np.array_equal(fresh.force, solver.force)
+
+    def test_continued_run_identical(self, solver, store, two_component_config):
         """Run A->B directly vs checkpoint at A, restore, run to B."""
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(solver, path)
         solver.run(15)
-        restored = MulticomponentLBM(two_component_config)
-        load_checkpoint(restored, path)
+        restored = _restored(store, two_component_config)
         restored.run(15)
         assert np.array_equal(solver.f, restored.f)
 
-    def test_step_count_restored(self, solver, tmp_path, two_component_config):
-        path = tmp_path / "c.npz"
-        save_checkpoint(solver, path)
-        fresh = MulticomponentLBM(two_component_config)
-        load_checkpoint(fresh, path)
-        assert fresh.step_count == 25
+    def test_step_count_restored(self, store, two_component_config):
+        assert _restored(store, two_component_config).step_count == 25
 
 
 class TestCompatibility:
-    def test_wrong_grid_rejected(self, solver, tmp_path):
-        path = tmp_path / "c.npz"
-        save_checkpoint(solver, path)
-        other_geo = ChannelGeometry(shape=(14, 18), wall_axes=(1,))
-        other = MulticomponentLBM(
-            LBMConfig(
-                geometry=other_geo,
-                components=solver.config.components,
-                g_matrix=solver.config.g_matrix,
-                lattice=D2Q9,
-            )
-        )
-        with pytest.raises(ValueError, match="incompatible"):
-            load_checkpoint(other, path)
+    def _assert_rejected(self, store, config):
+        other = MulticomponentLBM(config)
+        with pytest.raises(IncompatibleCheckpointError):
+            store.restore_solver(other)
 
-    def test_wrong_components_rejected(self, solver, tmp_path, channel_2d):
-        path = tmp_path / "c.npz"
-        save_checkpoint(solver, path)
-        other = MulticomponentLBM(
-            LBMConfig(
-                geometry=channel_2d,
+    def test_wrong_grid_rejected(self, store, two_component_config):
+        geo = ChannelGeometry(shape=(14, 18), wall_axes=(1,))
+        self._assert_rejected(
+            store, dataclasses.replace(two_component_config, geometry=geo)
+        )
+
+    def test_wrong_components_rejected(self, store, two_component_config):
+        self._assert_rejected(
+            store,
+            dataclasses.replace(
+                two_component_config,
                 components=(ComponentSpec("water", tau=1.0),),
                 g_matrix=np.zeros((1, 1)),
-                lattice=D2Q9,
-            )
+            ),
         )
-        with pytest.raises(ValueError, match="incompatible"):
-            load_checkpoint(other, path)
 
-    def test_wrong_tau_rejected(self, solver, tmp_path, channel_2d):
-        path = tmp_path / "c.npz"
-        save_checkpoint(solver, path)
-        comps = (
-            ComponentSpec("water", tau=0.9, rho_init=1.0),
-            ComponentSpec("air", tau=1.0, rho_init=0.03),
+    def test_wrong_tau_rejected(self, store, two_component_config):
+        water, air = two_component_config.components
+        comps = (dataclasses.replace(water, tau=water.tau + 0.1), air)
+        self._assert_rejected(
+            store, dataclasses.replace(two_component_config, components=comps)
         )
-        other = MulticomponentLBM(
-            LBMConfig(
-                geometry=channel_2d,
-                components=comps,
-                g_matrix=solver.config.g_matrix,
-                lattice=D2Q9,
-            )
-        )
-        with pytest.raises(ValueError, match="incompatible"):
-            load_checkpoint(other, path)

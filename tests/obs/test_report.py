@@ -161,6 +161,20 @@ class TestCompare:
         assert run_compare(baseline_trace, bench, out=out) == 2
         assert "no comparable" in out.getvalue()
 
+    def test_unknown_bench_schema_exits_2(self, tmp_path, capsys):
+        """A JSON document with no known bench section (the transport
+        bench's shape) is a one-line error naming the file, not a
+        traceback."""
+        doc = tmp_path / "BENCH_transport.json"
+        doc.write_text(json.dumps(
+            {"unit": "seconds_per_run", "ranks": {"2": {"threads": 0.08}}},
+            indent=2,
+        ))
+        assert main(["compare", str(doc), str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(doc) in err and "no known bench schema" in err
+
     def test_non_time_metrics_never_regress(self):
         candidate = {"migration.planes": 100.0, "phase.compute.mean": 1.0}
         baseline = {"migration.planes": 1.0, "phase.compute.mean": 1.0}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ckpt import CheckpointStore
 from repro.lbm.diagnostics import density_profile, velocity_profile
 from repro.lbm.solver import MulticomponentLBM
 from repro.parallel.driver import run_parallel_lbm, solver_from_results
@@ -34,11 +35,11 @@ class TestSolverFromResults:
 
     def test_checkpointable(self, two_component_config, tmp_path):
         """Parallel output can be checkpointed through the bridge."""
-        from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
-
         results = run_parallel_lbm(2, two_component_config, 8, policy="no-remap")
         bridged = solver_from_results(results, two_component_config)
-        save_checkpoint(bridged, tmp_path / "par.npz")
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save_solver(bridged)
         fresh = MulticomponentLBM(two_component_config)
-        load_checkpoint(fresh, tmp_path / "par.npz")
+        assert store.restore_solver(fresh) is not None
+        assert fresh.step_count == bridged.step_count
         assert np.array_equal(fresh.f, bridged.f)

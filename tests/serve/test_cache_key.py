@@ -43,7 +43,7 @@ execution_knobs = st.fixed_dictionaries(
         "decomp": st.sampled_from(["auto", "slab", "grid"]),
         "halo_overlap": st.booleans(),
         "transport": st.sampled_from([None, "threads", "processes"]),
-        "backend": st.sampled_from([None, "reference", "fused", "arrayapi"]),
+        "backend": st.sampled_from([None, "reference", "fused", "batched"]),
         "policy": st.sampled_from(
             ["filtered", "conservative", "global", "no-remap"]
         ),
