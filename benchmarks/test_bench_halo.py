@@ -125,7 +125,6 @@ def halo_run(halo_overlap: bool, latency: float = LATENCY):
         driver = ParallelLBM(
             LatentLink(comm, latency),
             cfg,
-            [SHAPE[0] // RANKS] * RANKS,
             policy="no-remap",
             halo_overlap=halo_overlap,
         )

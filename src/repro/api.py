@@ -18,10 +18,7 @@ the parallel driver (``ranks > 1``) on either transport::
 Environment overlay: unset dispatch fields are filled from the
 ``REPRO_*`` variables via :func:`repro.config.from_env` (transport from
 ``REPRO_TRANSPORT``, checkpointing from the ``REPRO_CKPT_*`` family);
-explicit spec values always win.  The legacy entry points —
-:func:`repro.parallel.driver.run_parallel_lbm`, the experiments runner's
-CLI flags — are deprecation shims that build a ``RunSpec`` and land
-here, so every path through the library executes the same code.
+explicit spec values always win.
 
 Parameter sweeps: :func:`run_batch` takes a list of specs, groups the
 ones that differ only in the swept scalar knobs (coupling matrix, wall
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -108,9 +104,6 @@ class RunSpec:
     remap_config: RemappingConfig | None = None
     #: Synthetic per-phase load index for remapping tests (parallel only).
     load_time_fn: LoadTimeFn | None = None
-    #: Initial planes per rank (1-D slab only; deprecated — express the
-    #: layout through ``decomp`` instead).  None splits evenly.
-    initial_counts: tuple[int, ...] | None = None
     observer: ObserverLike = field(default=NULL_OBSERVER)
     #: Write a self-contained JSONL trace here (exclusive with observer).
     trace_path: str | None = None
@@ -156,16 +149,10 @@ class RunSpec:
                     f"decomp grid {grid} needs {grid[0] * grid[1]} ranks "
                     f"but ranks={self.ranks}"
                 )
-        if self.initial_counts is not None:
-            warnings.warn(
-                "initial_counts is a 1-D-slab-only knob and is deprecated; "
-                "express the layout through decomp instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "initial_counts", tuple(int(n) for n in self.initial_counts)
-            )
+        if self.ranks == 1:
+            for name in ("load_time_fn", "faults"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} requires ranks > 1")
         if self.checkpoint_store is not None and self.checkpoint_dir is not None:
             raise ValueError(
                 "pass either checkpoint_store or checkpoint_dir, not both"
@@ -196,9 +183,11 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     model) and the phase target.  Execution knobs — rank
     count, decomposition layout, halo-overlap schedule, transport,
     remapping policy, checkpoint/trace/observer machinery — are
-    deliberately absent: the transports, backends and decompositions are
-    bit-identical by contract, so two specs differing only there produce
-    the same populations.  Consequently the environment overlay
+    deliberately absent: transports, ranks, decompositions, the halo
+    schedule, the policy and the ``batched`` backend are bit-identical,
+    and ``fused`` agrees with ``reference`` within ``atol=1e-12``, so two
+    specs differing only there produce the same populations to that
+    tolerance (docs/SERVING.md).  Consequently the environment overlay
     (:meth:`repro.config.EnvConfig.overlay`), which touches only
     dispatch fields, never changes a fingerprint.
     """
@@ -276,9 +265,6 @@ def run(spec: RunSpec) -> RunResult:
     if spec.resume and store is None:
         raise ValueError("resume=True needs a checkpoint_store or checkpoint_dir")
     if spec.ranks == 1:
-        for name in ("load_time_fn", "faults", "initial_counts"):
-            if getattr(spec, name) is not None:
-                raise ValueError(f"{name} requires ranks > 1")
         return _run_sequential(spec, config, store)
     results = _run_parallel(spec, config, store)
     return RunResult(
@@ -287,16 +273,6 @@ def run(spec: RunSpec) -> RunResult:
         f=assemble_global_f(results),
         rank_results=results,
     )
-
-
-def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
-    """Run *spec* on the parallel driver regardless of ``ranks`` (the
-    shim behind the deprecated ``run_parallel_lbm``, whose historical
-    contract runs a 1-rank *parallel* world rather than the sequential
-    solver) and return the raw per-rank results."""
-    spec = config_mod.from_env().overlay(spec)
-    config = spec.resolved_config()
-    return _run_parallel(spec, config, _store_for(spec, config))
 
 
 @dataclass
@@ -329,10 +305,7 @@ BATCH_EXCLUSION_REASONS = (
     "parallel-ranks",
     "checkpoint",
     "resume",
-    "faults",
     "trace",
-    "load-time-fn",
-    "initial-counts",
     "observer",
     "env-checkpoint",
     "collision",
@@ -345,7 +318,7 @@ def batch_exclusion_reason(
     spec: RunSpec, config: LBMConfig | None = None
 ) -> str | None:
     """Why *spec* cannot join a batched-ensemble group, or ``None`` when
-    it is eligible: sequential, no checkpoint/resume/fault/trace
+    it is eligible: sequential, no checkpoint/resume/trace
     machinery (neither explicit nor discovered from the environment),
     BGK collision, no wall adhesion.
 
@@ -363,14 +336,8 @@ def batch_exclusion_reason(
         return "checkpoint"
     if spec.resume:
         return "resume"
-    if spec.faults is not None:
-        return "faults"
     if spec.trace_path is not None:
         return "trace"
-    if spec.load_time_fn is not None:
-        return "load-time-fn"
-    if spec.initial_counts is not None:
-        return "initial-counts"
     if spec.observer.enabled:
         return "observer"
     if config_mod.from_env().ckpt_dir is not None:
@@ -469,7 +436,7 @@ def run_batch(
     """Execute many specs, batching compatible ones into stacked
     ensembles.
 
-    Specs that are sequential, carry no checkpoint/fault/trace
+    Specs that are sequential, carry no checkpoint/trace
     machinery, and differ only in the swept scalar knobs — coupling
     matrix, wall-force amplitude, body acceleration — with equal phase
     targets are grouped and advanced by the ``batched`` kernel backend

@@ -1,4 +1,5 @@
-"""``python -m repro.cluster`` — the scenario CLI."""
+"""``python -m repro.cluster`` — the cluster-scenario CLI
+(:class:`~repro.cluster.scenario.ClusterScenario`)."""
 
 from repro.cluster.scenario import main
 

@@ -1,8 +1,9 @@
 """Declarative simulation scenarios (JSON-serializable) and the cluster
 CLI.
 
-A :class:`Scenario` names a workload, a policy and phase count; it can be
-round-tripped through JSON for batch sweeps, and powers the command line::
+A :class:`ClusterScenario` names a workload, a policy and phase count;
+it can be round-tripped through JSON for batch runs
+(:mod:`repro.experiments.policy_grid`), and powers the command line::
 
     python -m repro.cluster --workload fixed-slow --slow-nodes 9 3 \\
         --policy filtered --phases 600
@@ -38,7 +39,7 @@ WORKLOADS = (
 
 
 @dataclass(frozen=True)
-class Scenario:
+class ClusterScenario:
     """One simulation configuration.
 
     Attributes
@@ -131,7 +132,7 @@ class Scenario:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Scenario":
+    def from_json(cls, text: str) -> "ClusterScenario":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("scenario JSON must be an object")
@@ -161,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scenario = Scenario(
+    scenario = ClusterScenario(
         workload=args.workload,
         policy=args.policy,
         phases=args.phases,

@@ -29,7 +29,7 @@ from repro.parallel.launch import TRANSPORTS, launch_spmd, resolve_transport
 from repro.parallel.decomposition import SlabDecomposition, slab_shape
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.migration import pack_planes, unpack_planes
-from repro.parallel.driver import ParallelLBM, ParallelRunResult, run_parallel_lbm
+from repro.parallel.driver import ParallelLBM, ParallelRunResult
 
 __all__ = [
     "Communicator",
@@ -51,5 +51,4 @@ __all__ = [
     "unpack_planes",
     "ParallelLBM",
     "ParallelRunResult",
-    "run_parallel_lbm",
 ]

@@ -33,7 +33,6 @@ index (the physics is unaffected — only the remapping decisions see it).
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -118,13 +117,15 @@ class ParallelRunResult:
 
 
 class ParallelLBM:
-    """One rank's share of the parallel multicomponent LBM."""
+    """One rank's share of the parallel multicomponent LBM.
+
+    *topo* is the rank grid and its starting split; the default is the
+    even 1-D slab over ``comm.size`` ranks."""
 
     def __init__(
         self,
         comm: Communicator,
         config: LBMConfig,
-        initial_counts: list[int] | None = None,
         *,
         topo: CartTopology | None = None,
         policy: str = "filtered",
@@ -137,42 +138,23 @@ class ParallelLBM:
         halo_overlap: bool = True,
     ):
         geo = config.geometry
-        if topo is not None and initial_counts is not None:
-            raise ValueError("pass either topo or initial_counts, not both")
         if topo is None:
-            counts = (
-                list(initial_counts)
-                if initial_counts is not None
-                else even_split(geo.shape[0], comm.size)
+            topo = CartTopology.from_shape(geo.shape, comm.size, 1)
+        if topo.size != comm.size:
+            raise ValueError(
+                f"topology has {topo.size} subdomains for {comm.size} ranks"
             )
-            if len(counts) != comm.size:
-                raise ValueError(
-                    f"initial_counts must list {comm.size} entries, got "
-                    f"{len(counts)}"
-                )
-            if sum(counts) != geo.shape[0]:
-                raise ValueError(
-                    "initial plane counts must sum to the global x extent"
-                )
-            ny = geo.shape[1] if len(geo.shape) > 1 else 1
-            topo = CartTopology(counts, [ny])
-        else:
-            if topo.size != comm.size:
-                raise ValueError(
-                    f"topology has {topo.size} subdomains for {comm.size} "
-                    f"ranks"
-                )
-            if topo.total_planes != geo.shape[0]:
-                raise ValueError(
-                    "topology row extents must sum to the global x extent"
-                )
-            if topo.cols > 1 and (
-                len(geo.shape) < 2 or topo.total_cols != geo.shape[1]
-            ):
-                raise ValueError(
-                    "topology column extents must sum to the first "
-                    "cross-section extent"
-                )
+        if topo.total_planes != geo.shape[0]:
+            raise ValueError(
+                "topology row extents must sum to the global x extent"
+            )
+        if topo.cols > 1 and (
+            len(geo.shape) < 2 or topo.total_cols != geo.shape[1]
+        ):
+            raise ValueError(
+                "topology column extents must sum to the first "
+                "cross-section extent"
+            )
         if checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -1313,25 +1295,11 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
     configuration and *store* its resolved checkpoint store)."""
     n_ranks = spec.ranks
     phases = spec.phases
-    total_planes = config.geometry.shape[0]
+    shape = config.geometry.shape
     transport = resolve_transport(spec.transport)
-    rows, cols = resolve_decomp(
-        getattr(spec, "decomp", "auto"), config.geometry.shape, n_ranks
-    )
-    if cols > 1 and spec.initial_counts is not None:
-        raise ValueError(
-            "initial_counts is a 1-D slab knob and cannot seed a "
-            f"{rows}x{cols} grid; drop it or use decomp=({n_ranks}, 1)"
-        )
-    topo = (
-        CartTopology.from_shape(config.geometry.shape, rows, cols)
-        if cols > 1
-        else None
-    )
+    rows, cols = resolve_decomp(spec.decomp, shape, n_ranks)
 
-    initial_counts = (
-        list(spec.initial_counts) if spec.initial_counts is not None else None
-    )
+    topo = None
     resume_manifest = None
     phases_to_run = phases
     if spec.resume:
@@ -1345,18 +1313,17 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
             if (
                 cols == 1
                 and len(shards) == n_ranks
-                and initial_counts is None
                 and not resume_manifest.is_two_dimensional()
             ):
                 # Start each rank at its checkpointed slab size so the
                 # per-shard restore path needs no reallocation.
-                initial_counts = [s.plane_count for s in shards]
-
-    if cols == 1 and initial_counts is None:
-        base, extra = divmod(total_planes, n_ranks)
-        if base < 1:
+                topo = CartTopology(
+                    [s.plane_count for s in shards], [shape[1]]
+                )
+    if topo is None:
+        if rows > shape[0]:
             raise ValueError("more ranks than planes")
-        initial_counts = [base + (1 if r < extra else 0) for r in range(n_ranks)]
+        topo = CartTopology.from_shape(shape, rows, cols)
 
     obs, owns_observer = _spec_observer(spec)
     if obs.enabled:
@@ -1366,14 +1333,10 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
             transport=transport,
             backend=config.backend,
             policy=spec.policy,
-            shape=list(config.geometry.shape),
+            shape=list(shape),
             n_components=config.n_components,
             phases=phases,
-            initial_counts=(
-                list(initial_counts)
-                if initial_counts is not None
-                else [int(x) for x in topo.row_counts()]
-            ),
+            initial_counts=topo.row_counts(),
             decomp=[rows, cols],
         )
 
@@ -1394,7 +1357,6 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
         driver = ParallelLBM(
             comm,
             config,
-            list(initial_counts) if topo is None else None,
             topo=topo,
             policy=spec.policy,
             remap_config=spec.remap_config,
@@ -1403,7 +1365,7 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
             checkpoint_every=spec.checkpoint_every,
             checkpoint_store=store,
             faults=spec.faults,
-            halo_overlap=getattr(spec, "halo_overlap", True),
+            halo_overlap=spec.halo_overlap,
         )
         if resume_manifest is not None:
             driver.restore_checkpoint(manifest=resume_manifest)
@@ -1439,89 +1401,6 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
     finally:
         if owns_observer:
             obs.close()
-
-
-def run_parallel_lbm(
-    n_ranks: int,
-    config: LBMConfig,
-    phases: int,
-    *,
-    transport: str | None = None,
-    policy: str = "filtered",
-    remap_config: RemappingConfig | None = None,
-    load_time_fn: LoadTimeFn | None = None,
-    initial_counts: list[int] | None = None,
-    decomp: str | tuple[int, int] = "auto",
-    timeout: float = 600.0,
-    observer: ObserverLike = NULL_OBSERVER,
-    trace_path: str | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_store=None,
-    resume: bool = False,
-    faults=None,
-) -> list[ParallelRunResult]:
-    """Run the parallel LBM on an in-process cluster of *n_ranks* ranks.
-
-    .. deprecated::
-        This is a thin shim over the :mod:`repro.api` facade — build a
-        :class:`repro.api.RunSpec` and call :func:`repro.api.run`
-        instead.  Every keyword maps 1:1 onto a RunSpec field and the
-        results are identical.
-
-    *transport* selects ``"threads"`` or ``"processes"`` (default: the
-    ``REPRO_TRANSPORT`` environment variable, then threads).  Returns
-    the per-rank results in rank order; use :func:`assemble_global_f`
-    to reconstruct the global field.
-
-    Observability: pass an enabled :class:`repro.obs.Observer` (shared
-    sink; each rank gets a rank-stamped child), or *trace_path* to write
-    a self-contained JSONL trace (``run_start`` metadata, per-phase
-    timings and halo bytes, remap/migration events, metrics snapshots).
-    With neither, the ``REPRO_OBS_TRACE`` environment variable is
-    consulted; unset means zero instrumentation overhead.
-
-    Checkpointing (see :mod:`repro.ckpt`): pass a shared
-    :class:`~repro.ckpt.CheckpointStore` plus ``checkpoint_every`` to
-    snapshot periodically.  With ``resume=True``, *phases* is the TOTAL
-    phase target: the ranks restore the latest good generation (if any)
-    and run only the remainder — bit-exactly continuing the interrupted
-    run.  *faults* (a :class:`~repro.ckpt.FaultPlan`) injects failures
-    for recovery testing; injected :class:`~repro.ckpt.InjectedFault`
-    errors surface from the cluster wrapped in ``RuntimeError``.
-    """
-    warnings.warn(
-        "run_parallel_lbm is deprecated; build a repro.api.RunSpec and "
-        "call repro.api.run(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    spec = api.RunSpec(
-        config=config,
-        phases=phases,
-        ranks=n_ranks,
-        transport=transport,
-        policy=policy,
-        remap_config=remap_config,
-        load_time_fn=load_time_fn,
-        initial_counts=(
-            tuple(initial_counts) if initial_counts is not None else None
-        ),
-        decomp=decomp,
-        timeout=timeout,
-        observer=observer,
-        trace_path=trace_path,
-        checkpoint_every=checkpoint_every,
-        checkpoint_store=checkpoint_store,
-        resume=resume,
-        faults=faults,
-    )
-    if n_ranks == 1:
-        # Legacy semantics: a 1-rank *parallel-driver* run (the facade
-        # would dispatch ranks=1 to the sequential solver instead).
-        return api.execute_parallel(spec)
-    return api.run(spec).rank_results
 
 
 def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:

@@ -4,9 +4,11 @@ Completed :class:`~repro.api.RunResult` objects are stored under the
 spec fingerprint (:func:`repro.api.spec_fingerprint`) — a SHA-256 over
 the canonical physics document plus the phase target.  Two submissions
 whose specs differ only in execution knobs (rank count, transport,
-remapping policy, observability) address the same entry, because the
-transports and kernel backends are bit-identical by contract: the cached
-populations *are* the answer either spec would have produced.
+remapping policy, observability) address the same entry: transports,
+ranks, decompositions and the ``batched`` backend are bit-identical and
+``fused`` agrees with ``reference`` within ``atol=1e-12``
+(docs/SERVING.md), so the cached populations are the answer either spec
+would have produced, to that tolerance.
 
 The cache is bounded (``capacity`` entries, least-recently-used
 eviction) and instrumented: ``serve.cache.hit`` / ``serve.cache.miss`` /

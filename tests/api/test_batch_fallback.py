@@ -141,22 +141,6 @@ class TestExclusionReasonPredicate:
         spec = RunSpec(config=two_component_config, phases=3, resume=True)
         assert batch_exclusion_reason(spec) == "resume"
 
-    def test_faults(self, two_component_config):
-        spec = RunSpec(config=two_component_config, phases=3, faults=object())
-        assert batch_exclusion_reason(spec) == "faults"
-
-    def test_load_time_fn(self, two_component_config):
-        spec = RunSpec(
-            config=two_component_config, phases=3, load_time_fn=lambda *a: 1.0
-        )
-        assert batch_exclusion_reason(spec) == "load-time-fn"
-
-    def test_initial_counts(self, two_component_config):
-        spec = RunSpec(
-            config=two_component_config, phases=3, initial_counts=(6, 6)
-        )
-        assert batch_exclusion_reason(spec) == "initial-counts"
-
     def test_env_checkpoint(self, two_component_config, monkeypatch, tmp_path):
         # A raw (un-overlaid) spec sees the discovered checkpoint dir as
         # its own reason; after the overlay it becomes "checkpoint".
@@ -189,20 +173,7 @@ class TestExclusionReasonPredicate:
                 ),
                 RunSpec(config=two_component_config, phases=3, resume=True),
                 RunSpec(
-                    config=two_component_config, phases=3, faults=object()
-                ),
-                RunSpec(
                     config=two_component_config, phases=3, trace_path="t.jsonl"
-                ),
-                RunSpec(
-                    config=two_component_config,
-                    phases=3,
-                    load_time_fn=lambda *a: 1.0,
-                ),
-                RunSpec(
-                    config=two_component_config,
-                    phases=3,
-                    initial_counts=(6, 6),
                 ),
                 RunSpec(
                     config=two_component_config, phases=3, observer=Observer()

@@ -20,13 +20,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.obs import MemorySink, Observer
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
+from repro.parallel.driver import assemble_global_f
 
 GOLDEN_PHASES = 8
 GOLDEN_INTERVAL = 4
@@ -72,18 +73,16 @@ def golden_load_fn(rank: int, phase: int, points: int) -> float:
 
 def run_golden(backend: str):
     observer = Observer(sink=MemorySink())
-    results = run_parallel_lbm(
-        2,
-        golden_config(backend),
-        GOLDEN_PHASES,
+    results = run(RunSpec(
+        config=golden_config(backend), phases=GOLDEN_PHASES, ranks=2,
+        decomp="slab",
         policy="filtered",
         remap_config=RemappingConfig(
             interval=GOLDEN_INTERVAL, history=GOLDEN_INTERVAL
         ),
         load_time_fn=golden_load_fn,
-        initial_counts=list(GOLDEN_COUNTS),
         observer=observer,
-    )
+    )).rank_results
     return results, observer.sink.events
 
 
@@ -112,6 +111,7 @@ class TestGoldenRun:
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         assert events[0]["type"] == "run_start"
         assert events[0]["backend"] == backend
+        assert events[0]["initial_counts"] == GOLDEN_COUNTS
         assert events[-1]["type"] == "metrics"
 
         phases = [e for e in events if e["type"] == "phase"]

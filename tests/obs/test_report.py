@@ -20,6 +20,9 @@ from repro.obs.report import (
     trace_metrics,
 )
 
+#: The committed BENCH_*.json files live at the repository root.
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 
 def emit_run(observer, compute_scale=1.0):
     """Synthesize a small but complete 2-rank trace: run metadata, phase
@@ -216,7 +219,7 @@ class TestCompare:
         """The acceptance criterion of the batched engine: committed
         BENCH_kernels.json must show >= 2x throughput-per-scenario over
         the sequential fused sweep at N=16."""
-        doc = json.loads(Path("BENCH_kernels.json").read_text())
+        doc = json.loads((REPO_ROOT / "BENCH_kernels.json").read_text())
         sizes = doc["batched"]["sizes"]
         assert sizes["16"]["speedup_vs_sequential"] >= 2.0
 
@@ -268,7 +271,7 @@ class TestCompare:
         must show >= 2x served throughput over naive sequential
         submission on the 90%-duplicates stream, with a cache hit-rate
         of at least 0.8, every row verified bit-identical."""
-        doc = json.loads(Path("BENCH_serve.json").read_text())
+        doc = json.loads((REPO_ROOT / "BENCH_serve.json").read_text())
         row = doc["serve"]["duplicates"]["0.9"]
         assert row["speedup_vs_sequential"] >= 2.0
         assert row["cache_hit_rate"] >= 0.8
@@ -282,7 +285,8 @@ class TestCompare:
         a self-compare of the committed serve bench must not divide by it
         and must report no regressions."""
         out = io.StringIO()
-        code = run_compare("BENCH_serve.json", "BENCH_serve.json", out=out)
+        bench = REPO_ROOT / "BENCH_serve.json"
+        code = run_compare(bench, bench, out=out)
         assert code == 0
         assert "no regressions" in out.getvalue()
 
@@ -291,6 +295,6 @@ class TestAgainstRealBench:
     def test_committed_bench_file_loads(self):
         """The repo's own BENCH_kernels.json parses into kernel metrics so
         `compare trace BENCH_kernels.json` has something to diff."""
-        metrics = load_metrics("BENCH_kernels.json")
+        metrics = load_metrics(REPO_ROOT / "BENCH_kernels.json")
         assert any(k.endswith(".us_per_point") for k in metrics)
         assert all(v > 0 for v in metrics.values())

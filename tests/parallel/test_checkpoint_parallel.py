@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.ckpt import (
     CheckpointRejected,
     CheckpointStore,
@@ -18,11 +19,7 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import (
-    ParallelLBM,
-    assemble_global_f,
-    run_parallel_lbm,
-)
+from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
 
@@ -58,10 +55,13 @@ class TestPeriodicParallelCheckpoints:
         seq = MulticomponentLBM(cfg)
         seq.run(12)
 
-        results = run_parallel_lbm(
-            3, cfg, 12, checkpoint_every=4, checkpoint_store=store, **REMAP
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        f = run(RunSpec(
+            config=cfg, phases=12, ranks=3,
+            checkpoint_every=4,
+            checkpoint_store=store,
+            **REMAP,
+        )).f
+        assert np.array_equal(f, seq.f)
         assert [i.step for i in store.generations()] == [4, 8, 12]
 
         # Every generation reassembles to the full domain and verifies.
@@ -75,10 +75,13 @@ class TestPeriodicParallelCheckpoints:
     ):
         cfg = config()
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
-        run_parallel_lbm(
-            3, cfg, 12, checkpoint_every=12, checkpoint_store=store,
-            decomp="slab", **REMAP  # shard bookkeeping asserted per plane
-        )
+        run(RunSpec(
+            config=cfg, phases=12, ranks=3,
+            checkpoint_every=12,
+            checkpoint_store=store,
+            decomp="slab",  # shard bookkeeping asserted per plane
+            **REMAP,
+        ))
         manifest = store.latest_good()
         shards = manifest.shards_in_x_order()
         assert sum(s.plane_count for s in shards) == 16
@@ -97,28 +100,24 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(RuntimeError, match="injected fault"):
-            run_parallel_lbm(
-                3,
-                cfg,
-                20,
+            run(RunSpec(
+                config=cfg, phases=20, ranks=3,
                 checkpoint_every=4,
                 checkpoint_store=store,
                 faults=FaultPlan.kill_job(13),
                 timeout=60.0,
                 **REMAP,
-            )
+            ))
         assert store.latest_good().step == 12
 
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            20,
+        f = run(RunSpec(
+            config=cfg, phases=20, ranks=3,
             checkpoint_every=4,
             checkpoint_store=store,
             resume=True,
             **REMAP,
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_mid_phase_kill_never_corrupts_the_store(self, tmp_path):
         """Dying after collision but before the halo exchange — the state
@@ -129,32 +128,28 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
         with pytest.raises(RuntimeError, match="mid_phase"):
-            run_parallel_lbm(
-                3,
-                cfg,
-                16,
+            run(RunSpec(
+                config=cfg, phases=16, ranks=3,
                 checkpoint_every=4,
                 checkpoint_store=store,
                 faults=FaultPlan.kill_job(10, site="mid_phase"),
                 timeout=60.0,
                 **REMAP,
-            )
+            ))
         assert [i.step for i in store.generations()] == [4, 8]
         assert all(
             store.verify_generation(i.step) == []
             for i in store.generations()
         )
 
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            16,
+        f = run(RunSpec(
+            config=cfg, phases=16, ranks=3,
             checkpoint_every=4,
             checkpoint_store=store,
             resume=True,
             **REMAP,
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_corrupted_latest_generation_falls_back_one(self, tmp_path):
         cfg = config()
@@ -163,32 +158,28 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
         with pytest.raises(RuntimeError):
-            run_parallel_lbm(
-                3,
-                cfg,
-                16,
+            run(RunSpec(
+                config=cfg, phases=16, ranks=3,
                 checkpoint_every=4,
                 checkpoint_store=store,
                 faults=FaultPlan.kill_job(13),
                 timeout=60.0,
                 **REMAP,
-            )
+            ))
         # Step 12 survived the crash but the disk then ate a shard.
         corrupt_file(
             store.generation_dir(12) / store.shard_filename(1)
         )
         assert store.latest_good().step == 8
 
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            16,
+        f = run(RunSpec(
+            config=cfg, phases=16, ranks=3,
             checkpoint_every=4,
             checkpoint_store=store,
             resume=True,
             **REMAP,
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_resume_into_different_rank_count(self, tmp_path):
         """A 3-rank checkpoint restores into a 2-rank job (global
@@ -199,22 +190,23 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(RuntimeError):
-            run_parallel_lbm(
-                3,
-                cfg,
-                16,
+            run(RunSpec(
+                config=cfg, phases=16, ranks=3,
                 checkpoint_every=4,
                 checkpoint_store=store,
                 faults=FaultPlan.kill_job(9),
                 timeout=60.0,
                 **REMAP,
-            )
+            ))
         assert store.latest_good().step == 8
 
-        results = run_parallel_lbm(
-            2, cfg, 16, checkpoint_store=store, resume=True, **REMAP
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        f = run(RunSpec(
+            config=cfg, phases=16, ranks=2,
+            checkpoint_store=store,
+            resume=True,
+            **REMAP,
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_resume_with_no_checkpoint_starts_from_scratch(
         self, tmp_path
@@ -223,14 +215,17 @@ class TestKillAndResume:
         seq = MulticomponentLBM(cfg)
         seq.run(8)
         store = CheckpointStore(tmp_path / "empty")
-        results = run_parallel_lbm(
-            3, cfg, 8, checkpoint_store=store, resume=True, **REMAP
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        f = run(RunSpec(
+            config=cfg, phases=8, ranks=3,
+            checkpoint_store=store,
+            resume=True,
+            **REMAP,
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_resume_requires_a_store(self):
         with pytest.raises(ValueError, match="needs a checkpoint_store"):
-            run_parallel_lbm(2, config(), 4, resume=True)
+            run(RunSpec(config=config(), phases=4, ranks=2, resume=True))
 
 
 class TestCollectiveRejection:
@@ -244,13 +239,7 @@ class TestCollectiveRejection:
         store = CheckpointStore(tmp_path / "ckpt")
 
         def rank_main(comm):
-            driver = ParallelLBM(
-                comm,
-                cfg,
-                [6, 5, 5],
-                checkpoint_every=0,
-                checkpoint_store=store,
-            )
+            driver = ParallelLBM(comm, cfg, checkpoint_store=store)
             driver.step_phase()
             if comm.rank == 1:
                 driver.f[0, 0, 2, 2] = np.nan
@@ -269,7 +258,11 @@ class TestCollectiveRejection:
 class TestOwnershipMap:
     def test_results_carry_a_tiling_ownership_map(self):
         # The walk below checks the 1-D x-axis tiling contract.
-        results = run_parallel_lbm(3, config(), 12, decomp="slab", **REMAP)
+        results = run(RunSpec(
+            config=config(), phases=12, ranks=3,
+            decomp="slab",
+            **REMAP,
+        )).rank_results
         ordered = sorted(results, key=lambda r: r.plane_start)
         expect = 0
         for r in ordered:
@@ -282,7 +275,9 @@ class TestOwnershipMap:
         import dataclasses
 
         # The mutation below breaks the 1-D plane tiling specifically.
-        results = run_parallel_lbm(2, config(), 4, decomp="slab")
+        results = run(
+            RunSpec(config=config(), phases=4, ranks=2, decomp="slab")
+        ).rank_results
         broken = [
             dataclasses.replace(results[0], plane_start=3),
             results[1],

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import (
-    ParallelLBM,
-    assemble_global_f,
-    run_parallel_lbm,
-)
+from repro.parallel.decomposition import CartTopology
+from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
 
@@ -45,36 +43,43 @@ class TestSequentialEquivalence:
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(25)
-        results = run_parallel_lbm(n_ranks, cfg, 25, policy="no-remap")
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        if n_ranks == 1:
+            # RunSpec(ranks=1) runs the sequential solver; drive a
+            # 1-rank parallel world directly instead.
+            results = run_spmd(
+                1,
+                lambda comm: ParallelLBM(comm, cfg, policy="no-remap").run(25),
+            )
+            f = assemble_global_f(results)
+        else:
+            f = run(
+                RunSpec(config=cfg, phases=25, ranks=n_ranks, policy="no-remap")
+            ).f
+        assert np.array_equal(f, seq.f)
 
     def test_migrating_bitwise_equal(self):
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(40)
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        f = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(1),
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_global_policy_bitwise_equal(self):
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(30)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            30,
+        f = run(RunSpec(
+            config=cfg, phases=30, ranks=3,
             policy="global",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(2),
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_3d_equivalence(self):
         geo = ChannelGeometry(shape=(9, 8, 6))
@@ -92,75 +97,65 @@ class TestSequentialEquivalence:
         )
         seq = MulticomponentLBM(cfg)
         seq.run(15)
-        results = run_parallel_lbm(3, cfg, 15, policy="no-remap")
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        f = run(RunSpec(config=cfg, phases=15, ranks=3, policy="no-remap")).f
+        assert np.array_equal(f, seq.f)
 
 
 class TestMigrationBehaviour:
     def test_slow_rank_evacuated(self):
         cfg = small_config()
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        results = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(1),
             decomp="slab",  # evacuation is asserted in whole planes
-        )
+        )).rank_results
         by_rank = sorted(results, key=lambda r: r.rank)
         assert by_rank[1].plane_count == 1
         assert by_rank[1].planes_sent >= 3
 
     def test_plane_conservation(self):
         cfg = small_config()
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        results = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(2),
             decomp="slab",  # every plane owned once across the ring
-        )
+        )).rank_results
         assert sum(r.plane_count for r in results) == 20
 
     def test_mass_conservation_across_migration(self):
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         m0 = seq.total_mass()
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        results = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(1),
-        )
+        )).rank_results
         assert sum(r.mass for r in results) == pytest.approx(m0, rel=1e-12)
 
     def test_no_migration_without_imbalance(self):
         cfg = small_config()
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            30,
+        results = run(RunSpec(
+            config=cfg, phases=30, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=lambda rank, phase, points: points * 1e-6,
-        )
+        )).rank_results
         assert all(r.planes_sent == 0 for r in results)
 
     def test_global_policy_balances_to_speed(self):
         cfg = small_config()
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        results = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="global",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(1, avail=0.5),
-        )
+        )).rank_results
         by_rank = sorted(results, key=lambda r: r.rank)
         # Slow rank ends with roughly half of the fast ranks' planes.
         fast = np.mean([by_rank[i].plane_count for i in (0, 2, 3)])
@@ -173,7 +168,9 @@ class TestDriverValidation:
 
         def fn(comm):
             with pytest.raises(ValueError, match="sum"):
-                ParallelLBM(comm, cfg, [5] * comm.size)
+                ParallelLBM(
+                    comm, cfg, topo=CartTopology([5] * comm.size, [14])
+                )
             return True
 
         assert all(run_spmd(2, fn))
@@ -182,8 +179,8 @@ class TestDriverValidation:
         cfg = small_config()
 
         def fn(comm):
-            with pytest.raises(ValueError, match="entries"):
-                ParallelLBM(comm, cfg, [20])
+            with pytest.raises(ValueError, match="subdomains"):
+                ParallelLBM(comm, cfg, topo=CartTopology([20], [14]))
             return True
 
         assert all(run_spmd(2, fn))
@@ -193,19 +190,17 @@ class TestDriverValidation:
         # A 2-D grid could legally place 5 ranks on 3 planes (1x5), so
         # pin the slab: this test is about the 1-D plane-count limit.
         with pytest.raises(ValueError, match="more ranks"):
-            run_parallel_lbm(5, cfg, 2, decomp="slab")
+            run(RunSpec(config=cfg, phases=2, ranks=5, decomp="slab"))
 
     def test_history_reported(self):
         cfg = small_config()
-        results = run_parallel_lbm(
-            2,
-            cfg,
-            20,
+        results = run(RunSpec(
+            config=cfg, phases=20, ranks=2,
             policy="filtered",
             remap_config=RemappingConfig(interval=10, history=5),
             load_time_fn=lambda r, p, n: n * 1e-6,
             decomp="slab",  # history entries below count slab planes
-        )
+        )).rank_results
         for r in results:
             assert len(r.comp_times) == 20
             assert r.plane_history[0] == 10

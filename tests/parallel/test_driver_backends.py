@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.diagnostics import slip_fraction, velocity_profile
@@ -14,7 +15,6 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
 
 
 def small_config(backend):
@@ -48,18 +48,14 @@ class TestParallelBackends:
         cfg = small_config(backend)
         seq = MulticomponentLBM(cfg)
         seq.run(25)
-        results = run_parallel_lbm(3, cfg, 25, policy="no-remap")
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        f = run(RunSpec(config=cfg, phases=25, ranks=3, policy="no-remap")).f
+        assert np.array_equal(f, seq.f)
 
     def test_fused_matches_reference(self):
-        ref = run_parallel_lbm(3, small_config("reference"), 25, policy="no-remap")
-        fused = run_parallel_lbm(3, small_config("fused"), 25, policy="no-remap")
-        np.testing.assert_allclose(
-            assemble_global_f(fused),
-            assemble_global_f(ref),
-            rtol=0.0,
-            atol=1e-12,
-        )
+        kw = dict(phases=25, ranks=3, policy="no-remap")
+        ref = run(RunSpec(config=small_config("reference"), **kw)).f
+        fused = run(RunSpec(config=small_config("fused"), **kw)).f
+        np.testing.assert_allclose(fused, ref, rtol=0.0, atol=1e-12)
 
     def test_fused_survives_migration(self):
         """Plane migration resizes the slabs; the backend must be rebuilt
@@ -72,22 +68,22 @@ class TestParallelBackends:
             t = points * 1e-6
             return t / 0.35 if rank == 1 else t
 
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
+        f = run(RunSpec(
+            config=cfg, phases=40, ranks=4,
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank,
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_identical_slip_profiles(self):
         profiles = {}
         for backend in ("reference", "fused"):
             cfg = small_config(backend)
-            results = run_parallel_lbm(2, cfg, 60, policy="no-remap")
-            carrier = solver_with_state(cfg, assemble_global_f(results))
+            f = run(
+                RunSpec(config=cfg, phases=60, ranks=2, policy="no-remap")
+            ).f
+            carrier = solver_with_state(cfg, f)
             profiles[backend] = velocity_profile(carrier)
         ref, fused = profiles["reference"], profiles["fused"]
         np.testing.assert_array_equal(ref.positions, fused.positions)

@@ -5,12 +5,13 @@ throughout."""
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
+from repro.parallel.driver import assemble_global_f
 
 
 def config(nx=24, ny=14):
@@ -40,17 +41,15 @@ class TestRecovery:
             return t
 
         cfg = config()
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            160,
+        results = run(RunSpec(
+            config=cfg, phases=160, ranks=3,
             policy="filtered",
             remap_config=RemappingConfig(
                 interval=5, history=5, fast_to_slow_tolerance=0.1
             ),
             load_time_fn=load_fn,
             decomp="slab",  # the assertions track plane-band movement
-        )
+        )).rank_results
         by_rank = sorted(results, key=lambda r: r.rank)
         history = by_rank[1].plane_history
         assert min(history) <= 2  # was evacuated during the slowdown
@@ -66,17 +65,15 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(160)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            160,
+        f = run(RunSpec(
+            config=cfg, phases=160, ranks=3,
             policy="filtered",
             remap_config=RemappingConfig(
                 interval=5, history=5, fast_to_slow_tolerance=0.1
             ),
             load_time_fn=load_fn,
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        )).f
+        assert np.array_equal(f, seq.f)
 
     def test_alternating_slow_ranks(self):
         """The slow rank moves around; planes must keep being conserved
@@ -92,17 +89,15 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(120)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            120,
+        results = run(RunSpec(
+            config=cfg, phases=120, ranks=3,
             policy="filtered",
             remap_config=RemappingConfig(
                 interval=5, history=5, fast_to_slow_tolerance=0.1
             ),
             load_time_fn=load_fn,
             decomp="slab",  # plane conservation is asserted per band
-        )
+        )).rank_results
         assert sum(r.plane_count for r in results) == 24
         assert np.array_equal(assemble_global_f(results), seq.f)
 
@@ -114,15 +109,13 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(80)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            80,
+        result = run(RunSpec(
+            config=cfg, phases=80, ranks=3,
             policy="conservative",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=load_fn,
             decomp="slab",  # the shed-load bound below counts planes
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
-        by_rank = sorted(results, key=lambda r: r.rank)
+        ))
+        assert np.array_equal(result.f, seq.f)
+        by_rank = sorted(result.rank_results, key=lambda r: r.rank)
         assert by_rank[0].plane_count < 8  # shed some load conservatively

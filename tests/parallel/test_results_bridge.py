@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.ckpt import CheckpointStore
 from repro.lbm.diagnostics import density_profile, velocity_profile
 from repro.lbm.solver import MulticomponentLBM
-from repro.parallel.driver import run_parallel_lbm, solver_from_results
+from repro.parallel.driver import solver_from_results
+
+
+def parallel_results(config, phases, ranks):
+    spec = RunSpec(config=config, phases=phases, ranks=ranks, policy="no-remap")
+    return run(spec).rank_results
 
 
 class TestSolverFromResults:
     def test_diagnostics_match_sequential(self, two_component_config):
         seq = MulticomponentLBM(two_component_config)
         seq.run(30)
-        results = run_parallel_lbm(3, two_component_config, 30, policy="no-remap")
+        results = parallel_results(two_component_config, 30, 3)
         bridged = solver_from_results(results, two_component_config)
         p_seq = velocity_profile(seq)
         p_par = velocity_profile(bridged)
@@ -23,19 +29,19 @@ class TestSolverFromResults:
         assert np.array_equal(d_seq.values, d_par.values)
 
     def test_moments_recomputed(self, two_component_config):
-        results = run_parallel_lbm(2, two_component_config, 10, policy="no-remap")
+        results = parallel_results(two_component_config, 10, 2)
         bridged = solver_from_results(results, two_component_config)
         # rho must equal the zeroth moment of the assembled populations.
         assert np.allclose(bridged.rho[0], bridged.f[0].sum(axis=0))
 
     def test_shape_mismatch_rejected(self, two_component_config, single_component_config):
-        results = run_parallel_lbm(2, two_component_config, 5, policy="no-remap")
+        results = parallel_results(two_component_config, 5, 2)
         with pytest.raises(ValueError, match="shape"):
             solver_from_results(results, single_component_config)
 
     def test_checkpointable(self, two_component_config, tmp_path):
         """Parallel output can be checkpointed through the bridge."""
-        results = run_parallel_lbm(2, two_component_config, 8, policy="no-remap")
+        results = parallel_results(two_component_config, 8, 2)
         bridged = solver_from_results(results, two_component_config)
         store = CheckpointStore(tmp_path / "ckpt")
         store.save_solver(bridged)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, execute_parallel, run
+from repro.api import RunSpec, run
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
@@ -97,8 +97,7 @@ def test_parallel_driver_matches_sequential_bitwise(decomp, ranks):
         kwargs["ranks"] = ranks
     result = run(RunSpec(config=cfg, phases=12, **kwargs))
     assert np.array_equal(result.f, seq.f)
-    raw = execute_parallel(RunSpec(config=cfg, phases=12, **kwargs))
-    assert len(raw) == result.spec.ranks
+    assert len(result.rank_results) == result.spec.ranks
 
 
 @pytest.mark.parametrize(
